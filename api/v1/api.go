@@ -6,9 +6,9 @@
 // StitchParams maps onto macroflow.StitchOptions and ImplementParams
 // onto macroflow.ImplementOptions, field for field. The flat stitch
 // fields (iterations/chains/gdIterations) predate the per-backend
-// sub-objects and map onto the library's deprecated aliases; the
+// sub-objects and fill the same Anneal/Analytic sub-struct fields; the
 // anneal/analytic/evo/portfolio sub-objects map onto the sub-structs
-// and win on conflict via the library's overlay. Compatibility policy:
+// and a non-zero sub-object field wins on conflict. Compatibility policy:
 // within v1, fields are only ever added (always with omitempty
 // semantics on responses, as the sub-objects and the result's
 // portfolio report were); renames, removals or meaning changes require
@@ -183,10 +183,9 @@ type SearchWindow struct {
 // recorder, progress callback and check level travel as wire-friendly
 // spellings). The per-backend sub-objects (anneal/analytic/evo/
 // portfolio) mirror the library's sub-structs and were added within v1;
-// the flat iterations/chains/gdIterations fields predate them and map
-// onto the library's deprecated aliases, so old clients keep working —
-// conflicts resolve through the library's overlay (the sub-object
-// wins, with a one-shot warning on the server).
+// the flat iterations/chains/gdIterations fields predate them and fill
+// the same Anneal/Analytic fields, so old clients keep working; a
+// non-zero sub-object field wins over its flat counterpart.
 type StitchParams struct {
 	Seed         int64            `json:"seed,omitempty"`
 	Iterations   int              `json:"iterations,omitempty"`

@@ -134,6 +134,49 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
+// TestStitchParamsFlatPrecedence: the flat iterations/chains/
+// gdIterations wire fields fill the Anneal and Analytic sub-structs,
+// and a non-zero sub-object field wins over its flat counterpart,
+// field by field.
+func TestStitchParamsFlatPrecedence(t *testing.T) {
+	cases := []struct {
+		name   string
+		in     StitchParams
+		anneal macroflow.AnnealOptions
+		gd     int
+	}{
+		{name: "zero"},
+		{name: "flat-only", in: StitchParams{Iterations: 500, Chains: 3, GDIterations: 64},
+			anneal: macroflow.AnnealOptions{Iterations: 500, Chains: 3}, gd: 64},
+		{name: "structured-only", in: StitchParams{Anneal: &AnnealParams{Iterations: 800, Chains: 2, TempLadder: 2},
+			Analytic: &AnalyticParams{GDIterations: 32}},
+			anneal: macroflow.AnnealOptions{Iterations: 800, Chains: 2, TempLadder: 2}, gd: 32},
+		{name: "structured-wins-conflict", in: StitchParams{Iterations: 9999, Chains: 9, GDIterations: 999,
+			Anneal: &AnnealParams{Iterations: 800, Chains: 2}, Analytic: &AnalyticParams{GDIterations: 32}},
+			anneal: macroflow.AnnealOptions{Iterations: 800, Chains: 2}, gd: 32},
+		{name: "flat-fills-unset-structured-fields", in: StitchParams{Iterations: 500, Chains: 3, GDIterations: 64,
+			Anneal: &AnnealParams{TempLadder: 2}, Analytic: &AnalyticParams{}},
+			anneal: macroflow.AnnealOptions{Iterations: 500, Chains: 3, TempLadder: 2}, gd: 64},
+		{name: "mixed-per-field", in: StitchParams{Iterations: 500, Chains: 3,
+			Anneal: &AnnealParams{Chains: 2}},
+			anneal: macroflow.AnnealOptions{Iterations: 500, Chains: 2}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			o, err := tc.in.Options()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if o.Anneal != tc.anneal {
+				t.Errorf("Anneal = %+v, want %+v", o.Anneal, tc.anneal)
+			}
+			if o.Analytic.GDIterations != tc.gd {
+				t.Errorf("Analytic.GDIterations = %d, want %d", o.Analytic.GDIterations, tc.gd)
+			}
+		})
+	}
+}
+
 // TestParamsOptions: the wire params must map onto the structured
 // options field for field, and reject the library's own invalid values
 // through the same Validate() messages.
@@ -142,8 +185,8 @@ func TestParamsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := macroflow.StitchOptions{Seed: 7, Iterations: 9000, Chains: 2, AdaptiveStop: true,
-		TraceEvery: 128, Backend: "hybrid", GDIterations: 64, Check: macroflow.CheckSampled,
+	want := macroflow.StitchOptions{Seed: 7, AdaptiveStop: true,
+		TraceEvery: 128, Backend: "hybrid", Check: macroflow.CheckSampled,
 		Anneal:    macroflow.AnnealOptions{Chains: 2, Iterations: 9000, TempLadder: 2.5},
 		Analytic:  macroflow.AnalyticOptions{GDIterations: 64},
 		Evo:       macroflow.EvoOptions{Mu: 2, Lambda: 8, Generations: 10},
@@ -151,20 +194,14 @@ func TestParamsOptions(t *testing.T) {
 	if !reflect.DeepEqual(so, want) {
 		t.Errorf("StitchParams.Options() = %+v, want %+v", so, want)
 	}
-	// Flat-only wire params map onto the deprecated aliases, leaving the
-	// sub-structs zero so the library overlay resolves them.
-	flat, err := (StitchParams{Seed: 3, Iterations: 500, Chains: 1, Backend: "anneal"}).Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.Anneal != (macroflow.AnnealOptions{}) || flat.Evo != (macroflow.EvoOptions{}) {
-		t.Errorf("flat wire params populated sub-structs: %+v", flat)
-	}
 	if err := so.Validate(); err != nil {
 		t.Errorf("converted options failed the library's Validate: %v", err)
 	}
 	if _, err := (StitchParams{Check: "everything"}).Options(); err == nil {
 		t.Error("bad check level accepted")
+	}
+	if _, err := (StitchParams{Iterations: -1, Anneal: &AnnealParams{Iterations: 500}}).Options(); err == nil {
+		t.Error("negative flat iterations accepted behind a sub-object value")
 	}
 
 	im, err := fullRequest().Implement.Options()

@@ -155,33 +155,39 @@ func (d *DesignSpec) InstanceCounts() []int {
 }
 
 // Options converts the wire params into the structured
-// macroflow.StitchOptions (never the deprecated flat aliases). The
-// caller attaches recorder and progress callback; semantic validation
-// is the flow's StitchOptions.Validate.
+// macroflow.StitchOptions. The flat iterations/chains/gdIterations wire
+// fields predate the per-backend sub-objects and fill the same Anneal
+// and Analytic fields; a non-zero sub-object field wins over its flat
+// counterpart. The caller attaches recorder and progress callback;
+// semantic validation is the flow's StitchOptions.Validate.
 func (p StitchParams) Options() (macroflow.StitchOptions, error) {
 	check, err := macroflow.ParseCheckLevel(p.Check)
 	if err != nil {
 		return macroflow.StitchOptions{}, &Error{Code: ErrInvalidOptions, Message: err.Error()}
 	}
+	// A winning sub-object field would hide a bad flat value from the
+	// library's Validate, so the flat budgets are checked here.
+	if p.Iterations < 0 || p.Chains < 0 || p.GDIterations < 0 {
+		return macroflow.StitchOptions{}, &Error{Code: ErrInvalidOptions, Message: fmt.Sprintf(
+			"stitch iterations, chains and gdIterations must be >= 0 (got %d, %d, %d)",
+			p.Iterations, p.Chains, p.GDIterations)}
+	}
 	o := macroflow.StitchOptions{
 		Seed:         p.Seed,
-		Iterations:   p.Iterations,
-		Chains:       p.Chains,
 		AdaptiveStop: p.AdaptiveStop,
 		TraceEvery:   p.TraceEvery,
 		Backend:      p.Backend,
-		GDIterations: p.GDIterations,
 		Check:        check,
+		Anneal:       macroflow.AnnealOptions{Iterations: p.Iterations, Chains: p.Chains},
+		Analytic:     macroflow.AnalyticOptions{GDIterations: p.GDIterations},
 	}
-	if p.Anneal != nil {
-		o.Anneal = macroflow.AnnealOptions{
-			Chains:     p.Anneal.Chains,
-			Iterations: p.Anneal.Iterations,
-			TempLadder: p.Anneal.TempLadder,
-		}
+	if a := p.Anneal; a != nil {
+		o.Anneal.Iterations = orFlat(a.Iterations, p.Iterations)
+		o.Anneal.Chains = orFlat(a.Chains, p.Chains)
+		o.Anneal.TempLadder = a.TempLadder
 	}
 	if p.Analytic != nil {
-		o.Analytic = macroflow.AnalyticOptions{GDIterations: p.Analytic.GDIterations}
+		o.Analytic.GDIterations = orFlat(p.Analytic.GDIterations, p.GDIterations)
 	}
 	if p.Evo != nil {
 		o.Evo = macroflow.EvoOptions{
@@ -197,6 +203,15 @@ func (p StitchParams) Options() (macroflow.StitchOptions, error) {
 		}
 	}
 	return o, nil
+}
+
+// orFlat resolves one sub-object wire field against its flat
+// counterpart: the sub-object's value unless it is zero (unset).
+func orFlat(sub, flat int) int {
+	if sub != 0 {
+		return sub
+	}
+	return flat
 }
 
 // Options converts the wire params into macroflow.PartitionOptions.
@@ -216,8 +231,8 @@ func (p *PartitionParams) Options() macroflow.PartitionOptions {
 }
 
 // Options converts the wire params into the structured
-// macroflow.ImplementOptions (never the deprecated flat aliases). The
-// caller attaches the shared cache and recorder.
+// macroflow.ImplementOptions. The caller attaches the shared cache and
+// recorder.
 func (p ImplementParams) Options() (macroflow.ImplementOptions, error) {
 	check, err := macroflow.ParseCheckLevel(p.Check)
 	if err != nil {

@@ -37,7 +37,7 @@ func TestCompileBackendsAuditClean(t *testing.T) {
 	d := verifySmallDesign(t)
 	for _, be := range []string{BackendAnneal, BackendAnalytic, BackendHybrid, BackendEvo, BackendPortfolio} {
 		res, err := f.Compile(d, MinSweepCF(), CompileOptions{
-			Stitch:    StitchOptions{Seed: 1, Iterations: 5000, Backend: be, Check: CheckFull},
+			Stitch:    StitchOptions{Seed: 1, Anneal: AnnealOptions{Iterations: 5000}, Backend: be, Check: CheckFull},
 			Implement: ImplementOptions{Check: CheckFull},
 		})
 		if err != nil {
@@ -89,7 +89,7 @@ func TestRunCNVHybridFullAudit(t *testing.T) {
 	f := verifyFlow(t)
 	f.SetSearch(0.5, 0.02, 3.0)
 	res, err := f.RunCNV(MinSweepCF(), CNVOptions{
-		Stitch:    StitchOptions{Seed: 1, Iterations: 20000, Backend: BackendHybrid, Check: CheckFull},
+		Stitch:    StitchOptions{Seed: 1, Anneal: AnnealOptions{Iterations: 20000}, Backend: BackendHybrid, Check: CheckFull},
 		Implement: ImplementOptions{Check: CheckFull},
 	})
 	if err != nil {
@@ -140,7 +140,7 @@ func TestHybridCNVNoRegression(t *testing.T) {
 
 func stitchCNV(t *testing.T, f *Flow, backend string, seed int64) StitchReport {
 	t.Helper()
-	so := StitchOptions{Seed: seed, Iterations: 40000, Chains: 4, Backend: backend}
+	so := StitchOptions{Seed: seed, Anneal: AnnealOptions{Iterations: 40000, Chains: 4}, Backend: backend}
 	if err := so.Validate(); err != nil {
 		t.Fatal(err)
 	}

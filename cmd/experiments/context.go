@@ -68,7 +68,7 @@ const cnvSearchStart = 0.5 // §IV determines minimal CFs below 0.7 too
 // portfolio entrant list) applied on top of the run's seed and
 // iteration budget.
 func (c *ctx) stitchOptions(seed int64) macroflow.StitchOptions {
-	o := macroflow.StitchOptions{Seed: seed, Iterations: c.stitchIters, Obs: c.rec}
+	o := macroflow.StitchOptions{Seed: seed, Anneal: macroflow.AnnealOptions{Iterations: c.stitchIters}, Obs: c.rec}
 	c.stitch.Apply(&o)
 	return o
 }

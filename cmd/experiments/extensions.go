@@ -123,9 +123,7 @@ func overhead(c *ctx) {
 	fmt.Printf("\n%-8s %-10s %-12s %-12s\n", "bias", "tool runs", "first-run", "sum slices")
 	for _, bias := range []float64{-0.10, -0.05, 0, 0.05, 0.10} {
 		est := base.WithBias(bias)
-		res, err := f.RunCNV(macroflow.EstimatorCF(est), macroflow.CNVOptions{
-			Seed: c.seed, SkipStitch: true,
-		})
+		res, err := f.RunCNV(macroflow.EstimatorCF(est), macroflow.CNVOptions{SkipStitch: true})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -32,32 +32,93 @@ import (
 	"macroflow/internal/cliflags"
 )
 
+// experiment is one entry of the registry: a name selectable with -exp
+// and the function printing its section.
+type experiment struct {
+	name string
+	run  func(*ctx)
+}
+
+// experiments lists every experiment in output order.
+var experiments = []experiment{
+	{"table1", table1},
+	{"table2", table2},
+	{"fig3", fig3},
+	{"fig4", fig4},
+	{"fig5", fig5},
+	{"fig7", fig7},
+	{"fig8", fig8},
+	{"fig9", fig9},
+	{"fig10", fig10},
+	{"fig11", fig11},
+	{"fig12", fig12},
+	{"fig13", fig13},
+	{"toolruns", toolruns},
+	{"ablation", ablation},
+	{"overhead", overhead},
+	{"maze", maze},
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
-	exp := flag.String("exp", "all", "experiment id(s), comma separated, or 'all'")
-	seed := flag.Int64("seed", 1, "master seed")
-	modules := flag.Int("modules", 2000, "dataset size before balancing")
-	trees := flag.Int("trees", 1000, "random forest size")
-	epochs := flag.Int("epochs", 600, "neural network epochs")
-	stitchIters := flag.Int("stitch-iters", 300000, "SA iteration budget")
-	st := cliflags.AddStitch(flag.CommandLine,
-		"parallel-tempering chains for stitching (0/1 = serial, bit-identical to previous releases)")
-	pt := cliflags.AddPartition(flag.CommandLine, "")
-	quick := flag.Bool("quick", false, "reduced sizes for a fast smoke run")
-	cacheDir := cliflags.AddCache(flag.CommandLine,
-		"persistent implementation cache directory (off by default: cached labels report zero tool runs, which changes the §VIII run-count outputs)")
-	obsFlags := cliflags.AddObs(flag.CommandLine,
-		"write a Chrome trace_event JSON (or JSONL with a .jsonl extension) of the run to this file — load it at chrome://tracing or https://ui.perfetto.dev")
-	check := cliflags.AddCheck(flag.CommandLine,
-		"oracle cross-check level for the cnv flow runs: off, sampled or full (full re-probes every minimal-CF claim and recounts every placement — slow, but the run is fully audited)")
-	flag.Parse()
-
-	checkLevel, err := check.Parse()
+	c, exp, obsFlags, err := parseFlags(flag.CommandLine, os.Args[1:])
 	if err != nil {
 		log.Fatal(err)
 	}
+	want := map[string]bool{}
+	for _, e := range strings.Split(exp, ",") {
+		want[strings.TrimSpace(e)] = true
+	}
+	ran := 0
+	for _, e := range experiments {
+		if want["all"] || want[e.name] {
+			fmt.Printf("\n================ %s ================\n", e.name)
+			c.runExperiment(e)
+			ran++
+		}
+	}
+	if err := obsFlags.Flush(c.rec, os.Stderr); err != nil {
+		log.Fatal(err)
+	}
+	if ran == 0 {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; known:", exp)
+		for _, e := range experiments {
+			fmt.Fprintf(os.Stderr, " %s", e.name)
+		}
+		fmt.Fprintln(os.Stderr)
+		os.Exit(2)
+	}
+}
 
+// parseFlags registers the command's flags on fs, parses args and
+// returns the experiment context, the -exp selection and the
+// observability flag group.
+func parseFlags(fs *flag.FlagSet, args []string) (*ctx, string, *cliflags.Obs, error) {
+	exp := fs.String("exp", "all", "experiment id(s), comma separated, or 'all'")
+	seed := fs.Int64("seed", 1, "master seed")
+	modules := fs.Int("modules", 2000, "dataset size before balancing")
+	trees := fs.Int("trees", 1000, "random forest size")
+	epochs := fs.Int("epochs", 600, "neural network epochs")
+	stitchIters := fs.Int("stitch-iters", 300000, "SA iteration budget")
+	st := cliflags.AddStitch(fs,
+		"parallel-tempering chains for stitching (0/1 = serial, bit-identical to previous releases)")
+	pt := cliflags.AddPartition(fs, "")
+	quick := fs.Bool("quick", false, "reduced sizes for a fast smoke run")
+	cacheDir := cliflags.AddCache(fs,
+		"persistent implementation cache directory (off by default: cached labels report zero tool runs, which changes the §VIII run-count outputs)")
+	obsFlags := cliflags.AddObs(fs,
+		"write a Chrome trace_event JSON (or JSONL with a .jsonl extension) of the run to this file — load it at chrome://tracing or https://ui.perfetto.dev")
+	check := cliflags.AddCheck(fs,
+		"oracle cross-check level for the cnv flow runs: off, sampled or full (full re-probes every minimal-CF claim and recounts every placement — slow, but the run is fully audited)")
+	if err := fs.Parse(args); err != nil {
+		return nil, "", nil, err
+	}
+
+	checkLevel, err := check.Parse()
+	if err != nil {
+		return nil, "", nil, err
+	}
 	c := &ctx{
 		seed:        *seed,
 		modules:     *modules,
@@ -78,55 +139,17 @@ func main() {
 		c.epochs = 150
 		c.stitchIters = 60000
 	}
+	return c, *exp, obsFlags, nil
+}
 
-	all := []struct {
-		name string
-		run  func(*ctx)
-	}{
-		{"table1", table1},
-		{"table2", table2},
-		{"fig3", fig3},
-		{"fig4", fig4},
-		{"fig5", fig5},
-		{"fig7", fig7},
-		{"fig8", fig8},
-		{"fig9", fig9},
-		{"fig10", fig10},
-		{"fig11", fig11},
-		{"fig12", fig12},
-		{"fig13", fig13},
-		{"toolruns", toolruns},
-		{"ablation", ablation},
-		{"overhead", overhead},
-		{"maze", maze},
-	}
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	ran := 0
-	for _, e := range all {
-		if want["all"] || want[e.name] {
-			fmt.Printf("\n================ %s ================\n", e.name)
-			sp := c.rec.Start("exp." + e.name)
-			c.cur = sp
-			e.run(c)
-			c.cur = nil
-			sp.End()
-			ran++
-		}
-	}
-	if err := obsFlags.Flush(c.rec, os.Stderr); err != nil {
-		log.Fatal(err)
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; known:", *exp)
-		for _, e := range all {
-			fmt.Fprintf(os.Stderr, " %s", e.name)
-		}
-		fmt.Fprintln(os.Stderr)
-		os.Exit(2)
-	}
+// runExperiment prints one experiment's section body under its own
+// trace span.
+func (c *ctx) runExperiment(e experiment) {
+	sp := c.rec.Start("exp." + e.name)
+	c.cur = sp
+	e.run(c)
+	c.cur = nil
+	sp.End()
 }
 
 func bar(v float64, scale float64) string {

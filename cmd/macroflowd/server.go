@@ -493,7 +493,7 @@ func (s *server) runAudit() {
 		return
 	}
 	res, err := flow.Compile(auditDesign(), macroflow.MinSweepCF(), macroflow.CompileOptions{
-		Stitch:    macroflow.StitchOptions{Seed: seed, Iterations: 2000, Check: macroflow.CheckSampled},
+		Stitch:    macroflow.StitchOptions{Seed: seed, Anneal: macroflow.AnnealOptions{Iterations: 2000}, Check: macroflow.CheckSampled},
 		Implement: macroflow.ImplementOptions{Cache: s.cfg.Cache, Check: macroflow.CheckSampled},
 	})
 	now := time.Now().UnixMilli()

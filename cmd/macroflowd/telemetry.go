@@ -83,9 +83,9 @@ func newTelemetry(cfg serverConfig) *telemetry {
 // Only the per-phase parent spans count — their fine-grained children
 // (probe attempts, anneal rounds) are already inside the parent's
 // duration. The synth and place families are the exception: their
-// spans never nest within each other (synth.module on the builtin
-// path, synth.elaborate/synth.optimize on the custom path; each
-// place.quick/place.detail IS one attempt), so every one is a sample.
+// spans never nest within each other (synth.elaborate/synth.optimize
+// on every path; each place.quick/place.detail IS one attempt), so
+// every one is a sample.
 // Portfolio runs contribute one sample per entrant (each entrant's own
 // backend span) plus the race parent — the entrant samples are real
 // solver runs, not double-counted sub-steps; the stitch.entrant wrapper

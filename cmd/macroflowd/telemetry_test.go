@@ -306,7 +306,6 @@ func TestFlightRecorderDisabled(t *testing.T) {
 // TestStageOf pins the span→stage attribution table.
 func TestStageOf(t *testing.T) {
 	for name, want := range map[string]string{
-		"synth.module":       "synth",
 		"search.mincf":       "mincf",
 		"search.estimate":    "mincf",
 		"search.constant":    "mincf",

@@ -3,13 +3,11 @@ package macroflow
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"macroflow/internal/baseline"
 	"macroflow/internal/cnv"
 	"macroflow/internal/fabric"
 	"macroflow/internal/netlist"
-	"macroflow/internal/obs"
 	"macroflow/internal/pblock"
 	"macroflow/internal/place"
 	"macroflow/internal/stitch"
@@ -172,201 +170,33 @@ type CNVResult struct {
 	Verify *VerifyReport
 }
 
-// CNVOptions tunes the cnvW1A1 flow run.
-type CNVOptions struct {
-	// Stitch tunes the SA stitcher.
-	Stitch StitchOptions
-	// Implement tunes block implementation.
-	Implement ImplementOptions
-	// Partition enables multi-region compilation (the zero value keeps
-	// the single-device stitch, byte-identical to previous releases).
-	Partition PartitionOptions
-	// SkipStitch computes per-block implementations only.
-	SkipStitch bool
-
-	// Seed drives stitching. Setting it alongside a different non-zero
-	// Stitch.Seed logs a one-shot warning; the structured field wins.
-	//
-	// Deprecated: set Stitch.Seed.
-	Seed int64
-	// StitchIterations is the SA budget (default 200,000). Conflicts
-	// with Stitch.Iterations are warned once; the structured field wins.
-	//
-	// Deprecated: set Stitch.Iterations.
-	StitchIterations int
-	// AdaptiveStop lets the annealer terminate on a cost plateau.
-	//
-	// Deprecated: set Stitch.AdaptiveStop.
-	AdaptiveStop bool
-	// Workers bounds block-implementation parallelism. Conflicts with
-	// Implement.Workers are warned once; the structured field wins.
-	//
-	// Deprecated: set Implement.Workers.
-	Workers int
-}
-
-// stitchOptions resolves the effective stitch options, overlaying the
-// deprecated flat fields.
-func (o CNVOptions) stitchOptions() StitchOptions {
-	return o.Stitch.merged(o.Seed, o.StitchIterations, o.AdaptiveStop)
-}
-
-// implementOptions resolves the effective implementation options,
-// overlaying the deprecated flat fields.
-func (o CNVOptions) implementOptions() ImplementOptions {
-	return o.Implement.merged(o.Workers, nil)
-}
+// CNVOptions tunes the cnvW1A1 flow run: the same option set as
+// Compile's.
+type CNVOptions = CompileOptions
 
 // RunCNV implements every unique block of the partitioned cnvW1A1 design
 // under the given CF mode and stitches all 175 instances onto the flow's
-// device.
+// device. It runs Compile's pipeline on the lowered design, without the
+// spec-keyed cache layer: that layer ignores the CF mode.
 func (f *Flow) RunCNV(mode CFMode, opts CNVOptions) (*CNVResult, error) {
-	design := cnv.CNVW1A1()
-	res := &CNVResult{
-		Blocks:    make([]ModuleResult, len(design.Types)),
-		Instances: make([]int, len(design.Types)),
-	}
-	impls := make([]*pblock.Implementation, len(design.Types))
-	hits := make([]blockHit, len(design.Types))
-	errs := make([]error, len(design.Types))
-
-	im := opts.implementOptions()
-	so := opts.stitchOptions()
-	if err := so.Validate(); err != nil {
-		return nil, err
-	}
-	if err := im.Validate(); err != nil {
-		return nil, err
-	}
-	if err := opts.Partition.Validate(); err != nil {
-		return nil, err
-	}
-	search := f.searchFor(im)
-	rec := im.Obs
-	root := rec.Start("flow.runcnv",
-		obs.String("cf_mode", mode.kind),
-		obs.Int("types", len(design.Types)),
-		obs.Int("instances", len(design.Instances)))
-	// When the searches themselves probe speculatively, split the budget
-	// between block-level and probe-level parallelism.
-	workers := blockWorkers(im.Workers, search.Workers)
-	var wg sync.WaitGroup
-	// Lane pool: each slot doubles as a trace lane so concurrent block
-	// implementations render as parallel worker tracks.
-	lanes := make(chan int, workers)
-	for l := 0; l < workers; l++ {
-		lanes <- l
-		rec.LaneLabel(l+1, fmt.Sprintf("implement worker %d", l))
-	}
-	for ti := range design.Types {
-		wg.Add(1)
-		go func(ti int) {
-			defer wg.Done()
-			lane := <-lanes
-			defer func() { lanes <- lane }()
-			sp := root.Child("implement.block",
-				obs.String("block", design.Types[ti].Name)).WithLane(lane + 1)
-			impls[ti], res.Blocks[ti], hits[ti], errs[ti] = f.implementType(design, ti, mode, search, im.Cache, sp)
-			if errs[ti] == nil {
-				sp.Set(obs.Float("cf", res.Blocks[ti].CF),
-					obs.Int("tool_runs", res.Blocks[ti].ToolRuns),
-					obs.String("cache", hitName(hits[ti].kind)))
-			}
-			sp.End()
-		}(ti)
-	}
-	wg.Wait()
-	firstRun, estimated := 0, 0
-	for ti := range design.Types {
-		if errs[ti] != nil {
-			return nil, fmt.Errorf("macroflow: block %s: %w", design.Types[ti].Name, errs[ti])
-		}
-		res.Instances[ti] = design.InstanceCount(ti)
-		if hits[ti].kind == hitMiss {
-			res.TotalToolRuns += res.Blocks[ti].ToolRuns
-		}
-		tallyHit(hits[ti], &res.CacheHits, &res.Cache)
-		if mode.kind == "estimator" && res.Blocks[ti].EstSlices >= 6 {
-			estimated++
-			if res.Blocks[ti].ToolRuns == 1 {
-				firstRun++
-			}
-		}
-	}
-	if estimated > 0 {
-		res.FirstRunRate = float64(firstRun) / float64(estimated)
-	}
-	rec.Add("flow.tool_runs", int64(res.TotalToolRuns))
-	root.Set(obs.Int("tool_runs", res.TotalToolRuns),
-		obs.Int("cache_hits", res.CacheHits))
-	if im.Check != CheckOff || so.Check != CheckOff {
-		res.Verify = &VerifyReport{}
-	}
-	f.verifyBlocks(im.Check, mode, search, impls, res.Blocks, hits, res.Verify, rec, root)
-	if opts.SkipStitch {
-		root.End()
-		return res, nil
-	}
-
-	prob := f.buildStitchProblem(design, impls)
-	if opts.Partition.enabled() {
-		st, pr, err := f.stitchPartitioned(prob, so, opts.Partition, root, res.Verify)
-		if err != nil {
-			root.End()
-			return nil, err
-		}
-		res.Stitch, res.Partition = st, pr
-	} else {
-		res.Stitch = f.stitchDesign(prob, so, root, res.Verify)
-	}
-	root.Set(obs.Float("final_cost", res.Stitch.FinalCost),
-		obs.Int("placed", res.Stitch.Placed),
-		obs.Int("unplaced", res.Stitch.Unplaced))
-	root.End()
-	return res, nil
+	return f.compileDesign(cnvDesign(), mode, opts, "flow.runcnv", false)
 }
 
-// tallyHit folds one block's cache outcome into per-call counters;
-// cached blocks contribute no tool runs (the caller skips them).
-func tallyHit(h blockHit, cacheHits *int, stats *CacheStats) {
-	switch h.kind {
-	case hitMem:
-		*cacheHits++
-		stats.MemHits++
-	case hitDisk:
-		*cacheHits++
-		stats.DiskHits++
-	case hitFlight:
-		*cacheHits++
-		stats.SingleflightHits++
-	default:
-		stats.Misses++
-		if h.stored {
-			stats.Stores++
-		}
+// cnvDesign lowers the builtin cnvW1A1 block diagram into the Design
+// Compile takes: one Spec per block type, plus its instances and nets.
+func cnvDesign() *Design {
+	c := cnv.CNVW1A1()
+	d := NewDesign()
+	for ti := range c.Types {
+		d.AddBlockType(&Spec{inner: c.Types[ti].Spec})
 	}
-}
-
-// implementType compiles one unique block of the cnv design under the
-// CF mode, consulting the block cache when one is supplied. sp, when
-// non-nil, is the block's trace span; search/synth/place child spans
-// nest under it.
-func (f *Flow) implementType(d *cnv.Design, ti int, mode CFMode, search pblock.SearchConfig, cache *BlockCache, sp *obs.Span) (*pblock.Implementation, ModuleResult, blockHit, error) {
-	ssp := sp.Child("synth.module")
-	m, err := d.Module(ti)
-	ssp.End()
-	if err != nil {
-		return nil, ModuleResult{}, blockHit{}, err
+	for _, in := range c.Instances {
+		d.instances = append(d.instances, designInst{name: in.Name, typ: in.Type})
 	}
-	psp := sp.Child("place.quick")
-	rep := place.QuickPlace(m)
-	psp.End()
-	search.Span = sp
-	sr, hit, err := f.cachedImplement(m, rep, mode, search, cache)
-	if err != nil {
-		return nil, ModuleResult{}, hit, err
+	for _, n := range c.Nets {
+		d.nets = append(d.nets, designNet{from: n.From, to: n.To, width: n.Width})
 	}
-	return sr.Impl, f.moduleResult(m, rep, sr), hit, nil
+	return d
 }
 
 // implementModule applies a CF policy to an elaborated module.
@@ -387,37 +217,11 @@ func (f *Flow) implementModule(m *netlist.Module, rep place.ShapeReport, mode CF
 	return pblock.SearchResult{}, fmt.Errorf("macroflow: unknown CF mode %q", mode.kind)
 }
 
-// buildStitchProblem converts implementations plus the block diagram
-// into a stitching task.
-func (f *Flow) buildStitchProblem(d *cnv.Design, impls []*pblock.Implementation) *stitch.Problem {
-	prob := &stitch.Problem{Dev: f.dev}
-	for ti := range d.Types {
-		prob.Blocks = append(prob.Blocks, stitch.NewBlock(d.Types[ti].Name, impls[ti].Placement))
-	}
-	for ii := range d.Instances {
-		prob.Instances = append(prob.Instances, stitch.Instance{
-			Name:  d.Instances[ii].Name,
-			Block: d.Instances[ii].Type,
-		})
-	}
-	for _, n := range d.Nets {
-		prob.Nets = append(prob.Nets, stitch.Net{
-			From: n.From, To: n.To, Weight: float64(n.Width) / 16,
-		})
-	}
-	return prob
-}
-
-// renderStitch draws the stitched placement as ASCII, one character per
-// tile column, rows downsampled (Fig. 5/13 analog). Occupied tiles show
-// the block's kind letter, free fabric '.', clock columns '|'.
-func renderStitch(f *Flow, prob *stitch.Problem, res *stitch.Result) string {
-	return renderStitchMap(f.dev, prob, res.Origins)
-}
-
-// renderStitchMap is the device-parameterized renderer: partitioned
-// runs render their merged parent-coordinate origins on the parent
-// device through the same path.
+// renderStitchMap draws a stitched placement as ASCII, one character
+// per tile column, rows downsampled (Fig. 5/13 analog). Occupied tiles
+// show the block's kind letter, free fabric '.', clock columns '|'.
+// Partitioned runs render their merged parent-coordinate origins on the
+// parent device through the same path.
 func renderStitchMap(dev *fabric.Device, prob *stitch.Problem, origins []stitch.Origin) string {
 	w, h := dev.NumCols(), dev.Rows
 	grid := make([]byte, w*h)

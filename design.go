@@ -82,10 +82,12 @@ func (d *Design) NumInstances() int { return len(d.instances) }
 // NewPersistentBlockCache) carries implementations across processes.
 type BlockCache struct {
 	mu sync.Mutex
-	m  map[string]cacheEntry
+	// m maps device plus spec configuration (key) to a finished block;
+	// Compile consults it before elaborating.
+	m map[string]cacheEntry
 	// byModule caches search results keyed by elaborated module content
-	// (blockDiskKey), serving flows whose inputs are modules rather than
-	// specs (RunCNV) and spec-keyed misses whose content is unchanged.
+	// (blockDiskKey), serving RunCNV (which skips m) and spec-keyed
+	// misses whose content is unchanged.
 	byModule map[string]pblock.SearchResult
 	// inflight dedupes concurrent identical searches (singleflight):
 	// while one goroutine — possibly serving another job in a
@@ -203,7 +205,7 @@ func (c *BlockCache) key(device string, s *Spec) string {
 	return fmt.Sprintf("%s|%#v", device, s.inner.Components)
 }
 
-// CompileOptions tunes Flow.Compile.
+// CompileOptions tunes Flow.Compile and Flow.RunCNV.
 type CompileOptions struct {
 	// Stitch tunes the SA stitcher.
 	Stitch StitchOptions
@@ -214,40 +216,6 @@ type CompileOptions struct {
 	Partition PartitionOptions
 	// SkipStitch implements the blocks only.
 	SkipStitch bool
-
-	// Cache, when non-nil, reuses pre-implemented blocks across calls.
-	// Conflicts with a different Implement.Cache are warned once; the
-	// structured field wins.
-	//
-	// Deprecated: set Implement.Cache.
-	Cache *BlockCache
-	// Seed drives stitching. Conflicts with Stitch.Seed are warned
-	// once; the structured field wins.
-	//
-	// Deprecated: set Stitch.Seed.
-	Seed int64
-	// StitchIterations is the SA budget (default 200,000). Conflicts
-	// with Stitch.Iterations are warned once; the structured field wins.
-	//
-	// Deprecated: set Stitch.Iterations.
-	StitchIterations int
-	// Workers bounds block-implementation parallelism. Conflicts with
-	// Implement.Workers are warned once; the structured field wins.
-	//
-	// Deprecated: set Implement.Workers.
-	Workers int
-}
-
-// stitchOptions resolves the effective stitch options, overlaying the
-// deprecated flat fields.
-func (o CompileOptions) stitchOptions() StitchOptions {
-	return o.Stitch.merged(o.Seed, o.StitchIterations, false)
-}
-
-// implementOptions resolves the effective implementation options,
-// overlaying the deprecated flat fields.
-func (o CompileOptions) implementOptions() ImplementOptions {
-	return o.Implement.merged(o.Workers, o.Cache)
 }
 
 // CompileResult is the outcome of compiling a generic design.
@@ -280,16 +248,32 @@ type CompileResult struct {
 // (reusing cached implementations when a cache is supplied) and stitches
 // all instances onto the flow's device.
 func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileResult, error) {
+	r, err := f.compileDesign(d, mode, opts, "flow.compile", true)
+	if err != nil {
+		return nil, err
+	}
+	return &CompileResult{
+		Blocks:    r.Blocks,
+		ToolRuns:  r.TotalToolRuns,
+		CacheHits: r.CacheHits,
+		Cache:     r.Cache,
+		Stitch:    r.Stitch,
+		Partition: r.Partition,
+		Verify:    r.Verify,
+	}, nil
+}
+
+// compileDesign is the one flow pipeline behind Compile and RunCNV:
+// validate the options, implement every unique block on one worker
+// pool, tally cache outcomes and tool runs, audit the blocks, then
+// stitch all instances (sharded when partitioning is on). span names
+// the root trace span; bySpec selects whether the spec-keyed cache
+// layer is consulted (see compileBlock).
+func (f *Flow) compileDesign(d *Design, mode CFMode, opts CompileOptions, span string, bySpec bool) (*CNVResult, error) {
 	if len(d.types) == 0 {
 		return nil, fmt.Errorf("macroflow: empty design")
 	}
-	res := &CompileResult{Blocks: make([]ModuleResult, len(d.types))}
-	impls := make([]*pblock.Implementation, len(d.types))
-	hits := make([]blockHit, len(d.types))
-	errs := make([]error, len(d.types))
-
-	im := opts.implementOptions()
-	so := opts.stitchOptions()
+	im, so := opts.Implement, opts.Stitch
 	if err := so.Validate(); err != nil {
 		return nil, err
 	}
@@ -299,9 +283,16 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 	if err := opts.Partition.Validate(); err != nil {
 		return nil, err
 	}
+	res := &CNVResult{
+		Blocks:    make([]ModuleResult, len(d.types)),
+		Instances: make([]int, len(d.types)),
+	}
+	impls := make([]*pblock.Implementation, len(d.types))
+	hits := make([]blockHit, len(d.types))
+	errs := make([]error, len(d.types))
 	search := f.searchFor(im)
 	rec := im.Obs
-	root := rec.Start("flow.compile",
+	root := rec.Start(span,
 		obs.String("cf_mode", mode.kind),
 		obs.Int("types", len(d.types)),
 		obs.Int("instances", len(d.instances)))
@@ -324,7 +315,7 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 			defer func() { lanes <- lane }()
 			sp := root.Child("implement.block",
 				obs.String("block", d.names[ti])).WithLane(lane + 1)
-			impls[ti], res.Blocks[ti], hits[ti], errs[ti] = f.compileBlock(d.types[ti], mode, search, im.Cache, sp)
+			impls[ti], res.Blocks[ti], hits[ti], errs[ti] = f.compileBlock(d.types[ti], mode, search, im.Cache, bySpec, sp)
 			if errs[ti] == nil {
 				sp.Set(obs.Float("cf", res.Blocks[ti].CF),
 					obs.Int("tool_runs", res.Blocks[ti].ToolRuns),
@@ -334,17 +325,30 @@ func (f *Flow) Compile(d *Design, mode CFMode, opts CompileOptions) (*CompileRes
 		}(ti)
 	}
 	wg.Wait()
+	for _, in := range d.instances {
+		res.Instances[in.typ]++
+	}
+	firstRun, estimated := 0, 0
 	for ti := range d.types {
 		if errs[ti] != nil {
 			return nil, fmt.Errorf("macroflow: block %s: %w", d.names[ti], errs[ti])
 		}
 		if hits[ti].kind == hitMiss {
-			res.ToolRuns += res.Blocks[ti].ToolRuns
+			res.TotalToolRuns += res.Blocks[ti].ToolRuns
 		}
 		tallyHit(hits[ti], &res.CacheHits, &res.Cache)
+		if mode.kind == "estimator" && res.Blocks[ti].EstSlices >= 6 {
+			estimated++
+			if res.Blocks[ti].ToolRuns == 1 {
+				firstRun++
+			}
+		}
 	}
-	rec.Add("flow.tool_runs", int64(res.ToolRuns))
-	root.Set(obs.Int("tool_runs", res.ToolRuns),
+	if estimated > 0 {
+		res.FirstRunRate = float64(firstRun) / float64(estimated)
+	}
+	rec.Add("flow.tool_runs", int64(res.TotalToolRuns))
+	root.Set(obs.Int("tool_runs", res.TotalToolRuns),
 		obs.Int("cache_hits", res.CacheHits))
 	if im.Check != CheckOff || so.Check != CheckOff {
 		res.Verify = &VerifyReport{}
@@ -409,21 +413,48 @@ func hitName(kind int) string {
 	}
 }
 
-// compileBlock implements one block type: the spec-keyed in-process map
-// answers without elaborating at all; otherwise the block is elaborated
-// and handed to cachedImplement (module-keyed memory, then the
-// persistent store, then a fresh search). sp, when non-nil, is the
-// block's trace span.
-func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig, cache *BlockCache, sp *obs.Span) (*pblock.Implementation, ModuleResult, blockHit, error) {
+// tallyHit folds one block's cache outcome into per-call counters;
+// cached blocks contribute no tool runs (the caller skips them).
+func tallyHit(h blockHit, cacheHits *int, stats *CacheStats) {
+	switch h.kind {
+	case hitMem:
+		*cacheHits++
+		stats.MemHits++
+	case hitDisk:
+		*cacheHits++
+		stats.DiskHits++
+	case hitFlight:
+		*cacheHits++
+		stats.SingleflightHits++
+	default:
+		stats.Misses++
+		if h.stored {
+			stats.Stores++
+		}
+	}
+}
+
+// compileBlock implements one block type. With bySpec, the spec-keyed
+// in-process map answers without elaborating at all; otherwise (and on
+// a map miss) the block is elaborated and handed to cachedImplement
+// (module-keyed memory, then the persistent store, then a fresh
+// search). The spec-keyed map ignores the CF mode, so the builtin cnv
+// path skips it. sp, when non-nil, is the block's trace span.
+func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig, cache *BlockCache, bySpec bool, sp *obs.Span) (*pblock.Implementation, ModuleResult, blockHit, error) {
+	bySpec = bySpec && cache != nil
 	var key string
-	if cache != nil {
+	if bySpec {
 		key = cache.key(f.dev.Name, spec)
 		cache.mu.Lock()
 		if e, ok := cache.m[key]; ok {
 			cache.stats.MemHits++
 			cache.mu.Unlock()
 			search.Obs.Add("blockcache.mem_hit", 1)
-			return e.impl, e.result, blockHit{kind: hitMem}, nil
+			// The key excludes the name: the entry may have been stored
+			// by a spec-identical block of another name.
+			result := e.result
+			result.Name = spec.Name()
+			return e.impl, result, blockHit{kind: hitMem}, nil
 		}
 		cache.mu.Unlock()
 	}
@@ -437,7 +468,7 @@ func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig,
 		return nil, ModuleResult{}, hit, err
 	}
 	result := f.moduleResult(m, rep, sr)
-	if cache != nil {
+	if bySpec {
 		cache.mu.Lock()
 		cache.m[key] = cacheEntry{impl: sr.Impl, result: result}
 		cache.mu.Unlock()
@@ -452,7 +483,6 @@ func (f *Flow) compileBlock(spec *Spec, mode CFMode, search pblock.SearchConfig,
 // joined, not repeated), then the persistent store (a disk record
 // rebuilds the placement via a Verify-audited warm start), and only
 // then a fresh search, whose outcome is written back to both layers.
-// It is the one implementation path shared by Compile and RunCNV.
 func (f *Flow) cachedImplement(m *netlist.Module, rep place.ShapeReport, mode CFMode, search pblock.SearchConfig, cache *BlockCache) (pblock.SearchResult, blockHit, error) {
 	if cache == nil {
 		sr, err := f.implementModule(m, rep, mode, search)

@@ -29,7 +29,7 @@ func main() {
 	fmt.Printf("monolithic baseline: fully placed, %d slices (%.1f%% of device)\n\n", used, 100*util)
 
 	// Per-block minimal CFs.
-	minRes, err := flow.RunCNV(macroflow.MinSweepCF(), macroflow.CNVOptions{Stitch: macroflow.StitchOptions{Seed: 1, Iterations: 150000}})
+	minRes, err := flow.RunCNV(macroflow.MinSweepCF(), macroflow.CNVOptions{Stitch: macroflow.StitchOptions{Seed: 1, Anneal: macroflow.AnnealOptions{Iterations: 150000}}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func main() {
 
 	// The constant-CF alternative must use the worst-case factor so
 	// every block implements.
-	constRes, err := flow.RunCNV(macroflow.ConstantCF(maxCF), macroflow.CNVOptions{Stitch: macroflow.StitchOptions{Seed: 1, Iterations: 150000}})
+	constRes, err := flow.RunCNV(macroflow.ConstantCF(maxCF), macroflow.CNVOptions{Stitch: macroflow.StitchOptions{Seed: 1, Anneal: macroflow.AnnealOptions{Iterations: 150000}}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -180,25 +180,7 @@ func Key(parts ...string) string {
 // (cells, nets, control sets, outputs) must.
 func ModuleHash(m *netlist.Module) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "depth %d\n", m.LogicDepth)
-	for _, cs := range m.ControlSets {
-		fmt.Fprintf(h, "cs %d %d %d\n", cs.Clk, cs.Rst, cs.En)
-	}
-	for i := range m.Cells {
-		c := &m.Cells[i]
-		fmt.Fprintf(h, "cell %d %d %d %d\n", c.Kind, c.ControlSet, c.Chain, c.ChainPos)
-	}
-	for ni := range m.Nets {
-		n := &m.Nets[ni]
-		fmt.Fprintf(h, "net %d", n.Driver)
-		for _, s := range n.Sinks {
-			fmt.Fprintf(h, " %d", s)
-		}
-		fmt.Fprintln(h)
-	}
-	for _, o := range m.Outputs {
-		fmt.Fprintf(h, "out %d\n", o)
-	}
+	m.WriteContent(h)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

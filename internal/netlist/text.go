@@ -54,6 +54,34 @@ func (m *Module) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
+// WriteContent renders the module's structural content — logic depth,
+// control sets, cells, nets and outputs, never the name — as the text
+// both content hashes consume: the implementation cache's ModuleHash
+// and the placer's default jitter seed. Two modules that render alike
+// share cache records and place identically, so the text must not
+// change: it addresses every persistent cache record.
+func (m *Module) WriteContent(w io.Writer) {
+	fmt.Fprintf(w, "depth %d\n", m.LogicDepth)
+	for _, cs := range m.ControlSets {
+		fmt.Fprintf(w, "cs %d %d %d\n", cs.Clk, cs.Rst, cs.En)
+	}
+	for i := range m.Cells {
+		c := &m.Cells[i]
+		fmt.Fprintf(w, "cell %d %d %d %d\n", c.Kind, c.ControlSet, c.Chain, c.ChainPos)
+	}
+	for ni := range m.Nets {
+		n := &m.Nets[ni]
+		fmt.Fprintf(w, "net %d", n.Driver)
+		for _, s := range n.Sinks {
+			fmt.Fprintf(w, " %d", s)
+		}
+		fmt.Fprintln(w)
+	}
+	for _, o := range m.Outputs {
+		fmt.Fprintf(w, "out %d\n", o)
+	}
+}
+
 // kindFromString inverts CellKind.String.
 func kindFromString(s string) (CellKind, error) {
 	for k := CellKind(0); k < numCellKinds; k++ {

@@ -183,31 +183,13 @@ type placer struct {
 }
 
 // contentSeed derives the default jitter seed from the module's
-// structural content — the same fields the implementation cache's
-// ModuleHash covers — never its name. Two modules the cache considers
-// identical must place identically, or a cache hit could return a
-// different placement than a fresh run.
+// structural content — the same rendering (netlist.Module.WriteContent)
+// the implementation cache's ModuleHash consumes — never its name. Two
+// modules the cache considers identical must place identically, or a
+// cache hit could return a different placement than a fresh run.
 func contentSeed(m *netlist.Module) int64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "depth %d\n", m.LogicDepth)
-	for _, cs := range m.ControlSets {
-		fmt.Fprintf(h, "cs %d %d %d\n", cs.Clk, cs.Rst, cs.En)
-	}
-	for i := range m.Cells {
-		c := &m.Cells[i]
-		fmt.Fprintf(h, "cell %d %d %d %d\n", c.Kind, c.ControlSet, c.Chain, c.ChainPos)
-	}
-	for ni := range m.Nets {
-		n := &m.Nets[ni]
-		fmt.Fprintf(h, "net %d", n.Driver)
-		for _, s := range n.Sinks {
-			fmt.Fprintf(h, " %d", s)
-		}
-		fmt.Fprintln(h)
-	}
-	for _, o := range m.Outputs {
-		fmt.Fprintf(h, "out %d\n", o)
-	}
+	m.WriteContent(h)
 	return int64(h.Sum64())
 }
 

@@ -168,7 +168,7 @@ func TestRunCNVSkipStitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.SetSearch(0.5, 0.02, 3.0)
-	res, err := f.RunCNV(MinSweepCF(), CNVOptions{Seed: 1, SkipStitch: true})
+	res, err := f.RunCNV(MinSweepCF(), CNVOptions{SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestRunCNVWithStitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.SetSearch(0.5, 0.02, 3.0)
-	res, err := f.RunCNV(MinSweepCF(), CNVOptions{Seed: 1, StitchIterations: 20000})
+	res, err := f.RunCNV(MinSweepCF(), CNVOptions{Stitch: StitchOptions{Seed: 1, Anneal: AnnealOptions{Iterations: 20000}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func smallDesign(workerLUTs int) *Design {
 func TestCompileGenericDesign(t *testing.T) {
 	f, _ := NewFlow("xc7z020")
 	f.SetSearch(0.9, 0.02, 3.0)
-	res, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Seed: 1, StitchIterations: 8000})
+	res, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Stitch: StitchOptions{Seed: 1, Anneal: AnnealOptions{Iterations: 8000}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestCompileCacheReuse(t *testing.T) {
 	f, _ := NewFlow("xc7z020")
 	f.SetSearch(0.9, 0.02, 3.0)
 	cache := NewBlockCache()
-	first, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Cache: cache, SkipStitch: true})
+	first, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: cache}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +348,7 @@ func TestCompileCacheReuse(t *testing.T) {
 		t.Errorf("first compile must not hit the cache")
 	}
 	// Change one block: the other must be served from the cache.
-	second, err := f.Compile(smallDesign(200), MinSweepCF(), CompileOptions{Cache: cache, SkipStitch: true})
+	second, err := f.Compile(smallDesign(200), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: cache}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +359,7 @@ func TestCompileCacheReuse(t *testing.T) {
 		t.Errorf("changed-block recompile must be cheaper: %d vs %d", second.ToolRuns, first.ToolRuns)
 	}
 	// Unchanged rebuild: zero tool runs.
-	third, err := f.Compile(smallDesign(200), MinSweepCF(), CompileOptions{Cache: cache, SkipStitch: true})
+	third, err := f.Compile(smallDesign(200), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: cache}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,6 +368,46 @@ func TestCompileCacheReuse(t *testing.T) {
 	}
 	if cache.Len() != 3 {
 		t.Errorf("cache size = %d, want 3", cache.Len())
+	}
+}
+
+// TestCompileSpecTwinsKeepNames: two block types with identical
+// component configurations but different names share one spec-keyed
+// cache entry, yet each result must carry its own type's name — on a
+// cold cache (where worker timing decides which twin stores the entry)
+// and on a warm one (where both twins are served from it).
+func TestCompileSpecTwinsKeepNames(t *testing.T) {
+	f, _ := NewFlow("xc7z020")
+	f.SetSearch(0.9, 0.02, 3.0)
+	twins := func() *Design {
+		d := NewDesign()
+		for _, name := range []string{"fifo_top", "fifo_tail"} {
+			ti := d.AddBlockType(NewSpec(name).Memory(16, 32).ShiftRegs(2, 8, 1, 2))
+			if _, err := d.AddInstance(ti, name+"_0"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d
+	}
+	for _, workers := range []int{1, 2} {
+		cache := NewBlockCache()
+		for pass, wantHits := range []int{1, 2} {
+			res, err := f.Compile(twins(), MinSweepCF(), CompileOptions{
+				Implement:  ImplementOptions{Cache: cache, Workers: workers},
+				SkipStitch: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range []string{"fifo_top", "fifo_tail"} {
+				if got := res.Blocks[i].Name; got != want {
+					t.Errorf("workers=%d pass %d: block %d named %q, want %q", workers, pass, i, got, want)
+				}
+			}
+			if res.CacheHits != wantHits {
+				t.Errorf("workers=%d pass %d: cache hits = %d, want %d", workers, pass, res.CacheHits, wantHits)
+			}
+		}
 	}
 }
 

@@ -3,62 +3,9 @@ package macroflow
 import (
 	"reflect"
 	"testing"
+
+	"macroflow/internal/stitch"
 )
-
-// TestStitchOptionsAliasEquivalence: the deprecated flat CompileOptions
-// fields (Seed, StitchIterations) must behave exactly like the embedded
-// StitchOptions spelling.
-func TestStitchOptionsAliasEquivalence(t *testing.T) {
-	f, _ := NewFlow("xc7z020")
-	f.SetSearch(0.9, 0.02, 3.0)
-	oldStyle, err := f.Compile(smallDesign(120), MinSweepCF(),
-		CompileOptions{Seed: 3, StitchIterations: 8000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newStyle, err := f.Compile(smallDesign(120), MinSweepCF(),
-		CompileOptions{Stitch: StitchOptions{Seed: 3, Iterations: 8000}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldStyle.Stitch, newStyle.Stitch) {
-		t.Error("deprecated Seed/StitchIterations diverged from StitchOptions")
-	}
-	// Explicitly set structured fields win over the aliases.
-	mixed, err := f.Compile(smallDesign(120), MinSweepCF(),
-		CompileOptions{Seed: 99, StitchIterations: 400,
-			Stitch: StitchOptions{Seed: 3, Iterations: 8000}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(mixed.Stitch, newStyle.Stitch) {
-		t.Error("structured StitchOptions must take precedence over aliases")
-	}
-}
-
-// TestImplementOptionsAliasEquivalence: the deprecated Cache/Workers
-// fields must feed the same path as ImplementOptions.
-func TestImplementOptionsAliasEquivalence(t *testing.T) {
-	f, _ := NewFlow("xc7z020")
-	f.SetSearch(0.9, 0.02, 3.0)
-	oldCache, newCache := NewBlockCache(), NewBlockCache()
-	oldStyle, err := f.Compile(smallDesign(120), MinSweepCF(),
-		CompileOptions{Cache: oldCache, Workers: 2, SkipStitch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newStyle, err := f.Compile(smallDesign(120), MinSweepCF(),
-		CompileOptions{Implement: ImplementOptions{Cache: newCache, Workers: 2}, SkipStitch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(oldStyle.Blocks, newStyle.Blocks) {
-		t.Error("deprecated Cache/Workers diverged from ImplementOptions")
-	}
-	if oldCache.Len() != newCache.Len() {
-		t.Errorf("cache population differs: %d vs %d", oldCache.Len(), newCache.Len())
-	}
-}
 
 // TestSearchStrategyOverride: the per-call Strategy override must yield
 // the same correction factors as the flow-level setting.
@@ -95,7 +42,7 @@ func TestIterToReachFinalCost(t *testing.T) {
 	f.SetSearch(0.9, 0.02, 3.0)
 	for _, chains := range []int{0, 3} {
 		res, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{
-			Stitch: StitchOptions{Seed: 1, Iterations: 5000, Chains: chains}})
+			Stitch: StitchOptions{Seed: 1, Anneal: AnnealOptions{Iterations: 5000, Chains: chains}}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +60,7 @@ func TestIterToReachFinalCost(t *testing.T) {
 func TestCompileMultiChainDeterministic(t *testing.T) {
 	f, _ := NewFlow("xc7z020")
 	f.SetSearch(0.9, 0.02, 3.0)
-	opts := CompileOptions{Stitch: StitchOptions{Seed: 4, Iterations: 9000, Chains: 3}}
+	opts := CompileOptions{Stitch: StitchOptions{Seed: 4, Anneal: AnnealOptions{Iterations: 9000, Chains: 3}}}
 	a, err := f.Compile(smallDesign(120), MinSweepCF(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +94,7 @@ func TestStitchProgressCallback(t *testing.T) {
 	}
 	var got []sample
 	_, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{
-		Stitch: StitchOptions{Seed: 1, Iterations: 6000, Chains: 2,
+		Stitch: StitchOptions{Seed: 1, Anneal: AnnealOptions{Iterations: 6000, Chains: 2},
 			Progress: func(chain, iter int, cost float64) {
 				got = append(got, sample{chain, iter})
 			}}})
@@ -166,52 +113,13 @@ func TestStitchProgressCallback(t *testing.T) {
 	}
 }
 
-// TestAliasConflictCounted: setting a deprecated flat field alongside a
-// different structured value records one options.alias_conflict count
-// per conflicting field (and the structured field still wins).
-func TestAliasConflictCounted(t *testing.T) {
-	f, _ := NewFlow("xc7z020")
-	f.SetSearch(0.9, 0.02, 3.0)
-	rec := NewRecorder()
-	res, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{
-		Seed: 99, StitchIterations: 400,
-		Stitch:    StitchOptions{Seed: 3, Iterations: 8000, Obs: rec},
-		Implement: ImplementOptions{Obs: rec},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := rec.CounterValue("options.alias_conflict"); got != 2 {
-		t.Errorf("alias_conflict counter = %d, want 2 (Seed and StitchIterations)", got)
-	}
-	plain, err := f.Compile(smallDesign(120), MinSweepCF(),
-		CompileOptions{Stitch: StitchOptions{Seed: 3, Iterations: 8000}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Stitch, plain.Stitch) {
-		t.Error("structured fields must win over conflicting aliases")
-	}
-	// Agreement is not a conflict.
-	rec2 := NewRecorder()
-	if _, err := f.Compile(smallDesign(120), MinSweepCF(), CompileOptions{
-		Seed:   3,
-		Stitch: StitchOptions{Seed: 3, Iterations: 8000, Obs: rec2},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := rec2.CounterValue("options.alias_conflict"); got != 0 {
-		t.Errorf("matching alias counted as conflict: %d", got)
-	}
-}
-
 // TestTraceEveryOption: the trace sampling interval is configurable,
 // echoed in the report, and defaults to 256.
 func TestTraceEveryOption(t *testing.T) {
 	f, _ := NewFlow("xc7z020")
 	f.SetSearch(0.9, 0.02, 3.0)
 	def, err := f.Compile(smallDesign(120), MinSweepCF(),
-		CompileOptions{Stitch: StitchOptions{Seed: 3, Iterations: 8000}})
+		CompileOptions{Stitch: StitchOptions{Seed: 3, Anneal: AnnealOptions{Iterations: 8000}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +127,7 @@ func TestTraceEveryOption(t *testing.T) {
 		t.Errorf("default TraceEvery = %d, want 256", def.Stitch.TraceEvery)
 	}
 	fine, err := f.Compile(smallDesign(120), MinSweepCF(),
-		CompileOptions{Stitch: StitchOptions{Seed: 3, Iterations: 8000, TraceEvery: 100}})
+		CompileOptions{Stitch: StitchOptions{Seed: 3, Anneal: AnnealOptions{Iterations: 8000}, TraceEvery: 100}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,150 +145,35 @@ func TestTraceEveryOption(t *testing.T) {
 	}
 }
 
-// TestStitchOptionsMergedTable drives the merged() alias overlay
-// through every path: both unset, alias-only, structured-only, and the
-// conflict case where the structured field must win.
-func TestStitchOptionsMergedTable(t *testing.T) {
-	cases := []struct {
-		name         string
-		structured   StitchOptions
-		seed         int64
-		iters        int
-		adaptive     bool
-		wantSeed     int64
-		wantIters    int
-		wantAdaptive bool
-	}{
-		{name: "both-unset"},
-		{name: "alias-only", seed: 7, iters: 1234, adaptive: true,
-			wantSeed: 7, wantIters: 1234, wantAdaptive: true},
-		{name: "structured-only", structured: StitchOptions{Seed: 3, Iterations: 500},
-			wantSeed: 3, wantIters: 500},
-		{name: "structured-wins-conflict", structured: StitchOptions{Seed: 3, Iterations: 500},
-			seed: 9, iters: 900, wantSeed: 3, wantIters: 500},
-		{name: "adaptive-alias-ors-in", structured: StitchOptions{AdaptiveStop: true},
-			wantAdaptive: true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := tc.structured.merged(tc.seed, tc.iters, tc.adaptive)
-			if got.Seed != tc.wantSeed {
-				t.Errorf("Seed = %d, want %d", got.Seed, tc.wantSeed)
-			}
-			if got.Iterations != tc.wantIters {
-				t.Errorf("Iterations = %d, want %d", got.Iterations, tc.wantIters)
-			}
-			if got.AdaptiveStop != tc.wantAdaptive {
-				t.Errorf("AdaptiveStop = %v, want %v", got.AdaptiveStop, tc.wantAdaptive)
-			}
-		})
-	}
-}
-
-// TestStitchOptionsResolvedTable drives the resolved() per-backend
-// alias overlay: flat-only fills the sub-structs, structured-only
-// passes through, and on conflict the structured field wins.
-func TestStitchOptionsResolvedTable(t *testing.T) {
+// TestStitchConfigMapping pins how the structured options reach the
+// annealer configuration: the per-backend sub-structs fill their
+// stitch.Config fields, a zero budget keeps the default, and
+// AdaptiveStop derives the plateau window from the budget.
+func TestStitchConfigMapping(t *testing.T) {
+	def := stitch.DefaultConfig()
 	cases := []struct {
 		name string
 		in   StitchOptions
-		want AnnealOptions
-		gd   int
+		want func(*stitch.Config)
 	}{
-		{name: "zero"},
-		{name: "flat-only", in: StitchOptions{Iterations: 1234, Chains: 3, GDIterations: 64},
-			want: AnnealOptions{Iterations: 1234, Chains: 3}, gd: 64},
-		{name: "structured-only", in: StitchOptions{
-			Anneal: AnnealOptions{Iterations: 500, Chains: 2}, Analytic: AnalyticOptions{GDIterations: 32}},
-			want: AnnealOptions{Iterations: 500, Chains: 2}, gd: 32},
-		{name: "structured-wins-conflict", in: StitchOptions{
-			Iterations: 9999, Chains: 9, GDIterations: 999,
-			Anneal: AnnealOptions{Iterations: 500, Chains: 2}, Analytic: AnalyticOptions{GDIterations: 32}},
-			want: AnnealOptions{Iterations: 500, Chains: 2}, gd: 32},
+		{"anneal-default", StitchOptions{Seed: 3, Anneal: AnnealOptions{Iterations: 8000, Chains: 4}},
+			func(c *stitch.Config) { c.Seed, c.Iterations, c.Chains = 3, 8000, 4 }},
+		{"anneal-explicit", StitchOptions{Seed: 1, Backend: BackendAnneal, Anneal: AnnealOptions{Iterations: 200}},
+			func(c *stitch.Config) { c.Seed, c.Iterations = 1, 200 }},
+		{"hybrid-gd", StitchOptions{Seed: 2, Backend: BackendHybrid, Analytic: AnalyticOptions{GDIterations: 64}},
+			func(c *stitch.Config) { c.Seed, c.Backend, c.GDIterations = 2, stitch.BackendHybrid, 64 }},
+		{"adaptive", StitchOptions{Seed: 5, Anneal: AnnealOptions{Iterations: 16000}, AdaptiveStop: true},
+			func(c *stitch.Config) { c.Seed, c.Iterations, c.StopWindow = 5, 16000, 1000 }},
+		{"zero-budget-keeps-default", StitchOptions{Anneal: AnnealOptions{TempLadder: 2}},
+			func(c *stitch.Config) { c.TempLadder = 2 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			got := tc.in.resolved()
-			if got.Anneal.Iterations != tc.want.Iterations || got.Anneal.Chains != tc.want.Chains {
-				t.Errorf("Anneal = %+v, want %+v", got.Anneal, tc.want)
-			}
-			if got.Analytic.GDIterations != tc.gd {
-				t.Errorf("Analytic.GDIterations = %d, want %d", got.Analytic.GDIterations, tc.gd)
-			}
-		})
-	}
-	// Each conflicting per-backend alias records one count per resolution.
-	rec := NewRecorder()
-	conflicted := StitchOptions{
-		Iterations: 9999, Chains: 9, GDIterations: 999, Obs: rec,
-		Anneal:   AnnealOptions{Iterations: 500, Chains: 2},
-		Analytic: AnalyticOptions{GDIterations: 32},
-	}
-	_ = stitchConfig(conflicted)
-	if got := rec.CounterValue("options.alias_conflict"); got != 3 {
-		t.Errorf("alias_conflict counter = %d, want 3 (Iterations, Chains, GDIterations)", got)
-	}
-}
-
-// TestStitchConfigFlatAliasByteIdentical is the compatibility
-// acceptance bar of the sub-struct redesign: a flat-alias-only
-// configuration (the PR-8 spelling) must map onto exactly the same
-// stitch.Config as its structured equivalent — so every pre-redesign
-// caller keeps byte-identical results.
-func TestStitchConfigFlatAliasByteIdentical(t *testing.T) {
-	cases := []struct {
-		name string
-		flat StitchOptions
-		sub  StitchOptions
-	}{
-		{"anneal-default", StitchOptions{Seed: 3, Iterations: 8000, Chains: 4},
-			StitchOptions{Seed: 3, Anneal: AnnealOptions{Iterations: 8000, Chains: 4}}},
-		{"anneal-explicit", StitchOptions{Seed: 1, Backend: BackendAnneal, Iterations: 200},
-			StitchOptions{Seed: 1, Backend: BackendAnneal, Anneal: AnnealOptions{Iterations: 200}}},
-		{"hybrid-gd", StitchOptions{Seed: 2, Backend: BackendHybrid, GDIterations: 64},
-			StitchOptions{Seed: 2, Backend: BackendHybrid, Analytic: AnalyticOptions{GDIterations: 64}}},
-		{"adaptive", StitchOptions{Seed: 5, Iterations: 16000, AdaptiveStop: true},
-			StitchOptions{Seed: 5, Anneal: AnnealOptions{Iterations: 16000}, AdaptiveStop: true}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if a, b := stitchConfig(tc.flat), stitchConfig(tc.sub); !reflect.DeepEqual(a, b) {
-				t.Errorf("flat spelling maps to\n%+v\nstructured to\n%+v", a, b)
-			}
-		})
-	}
-}
-
-// TestImplementOptionsMergedTable covers the Workers/Cache alias
-// overlay the same way.
-func TestImplementOptionsMergedTable(t *testing.T) {
-	structCache, aliasCache := NewBlockCache(), NewBlockCache()
-	cases := []struct {
-		name        string
-		structured  ImplementOptions
-		workers     int
-		cache       *BlockCache
-		wantWorkers int
-		wantCache   *BlockCache
-	}{
-		{name: "both-unset"},
-		{name: "alias-only", workers: 3, cache: aliasCache,
-			wantWorkers: 3, wantCache: aliasCache},
-		{name: "structured-only", structured: ImplementOptions{Workers: 2, Cache: structCache},
-			wantWorkers: 2, wantCache: structCache},
-		{name: "structured-wins-conflict",
-			structured: ImplementOptions{Workers: 2, Cache: structCache},
-			workers:    5, cache: aliasCache,
-			wantWorkers: 2, wantCache: structCache},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := tc.structured.merged(tc.workers, tc.cache)
-			if got.Workers != tc.wantWorkers {
-				t.Errorf("Workers = %d, want %d", got.Workers, tc.wantWorkers)
-			}
-			if got.Cache != tc.wantCache {
-				t.Errorf("Cache = %p, want %p", got.Cache, tc.wantCache)
+			want := def
+			want.Backend = stitch.BackendAnneal
+			tc.want(&want)
+			if got := stitchConfig(tc.in); !reflect.DeepEqual(got, want) {
+				t.Errorf("stitchConfig =\n%+v\nwant\n%+v", got, want)
 			}
 		})
 	}
@@ -396,11 +189,8 @@ func TestOptionsValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero", StitchOptions{}, true},
-		{"full", StitchOptions{Seed: 1, Iterations: 100, Chains: 2, Backend: BackendHybrid,
-			GDIterations: 10, Check: CheckSampled}, true},
-		{"negative-iterations", StitchOptions{Iterations: -1}, false},
-		{"negative-chains", StitchOptions{Chains: -2}, false},
-		{"negative-gd", StitchOptions{GDIterations: -3}, false},
+		{"full", StitchOptions{Seed: 1, Backend: BackendHybrid, Check: CheckSampled,
+			Anneal: AnnealOptions{Iterations: 100, Chains: 2}, Analytic: AnalyticOptions{GDIterations: 10}}, true},
 		{"bad-backend", StitchOptions{Backend: "bogus"}, false},
 		{"bad-check", StitchOptions{Check: CheckLevel(42)}, false},
 		{"structured-full", StitchOptions{Backend: BackendPortfolio,
@@ -459,7 +249,7 @@ func TestCompileValidatesOptions(t *testing.T) {
 		t.Error("Compile accepted negative Workers")
 	}
 	if _, err := f.RunCNV(MinSweepCF(),
-		CNVOptions{Stitch: StitchOptions{Iterations: -5}}); err == nil {
+		CNVOptions{Stitch: StitchOptions{Anneal: AnnealOptions{Iterations: -5}}}); err == nil {
 		t.Error("RunCNV accepted a negative iteration budget")
 	}
 }
@@ -472,7 +262,7 @@ func TestRecorderDoesNotPerturbResults(t *testing.T) {
 	f.SetSearch(0.9, 0.02, 3.0)
 	opts := func(rec *Recorder) CompileOptions {
 		return CompileOptions{
-			Stitch:    StitchOptions{Seed: 5, Iterations: 8000, Chains: 2, Obs: rec},
+			Stitch:    StitchOptions{Seed: 5, Anneal: AnnealOptions{Iterations: 8000, Chains: 2}, Obs: rec},
 			Implement: ImplementOptions{Obs: rec},
 		}
 	}

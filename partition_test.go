@@ -18,7 +18,7 @@ func TestCompilePartitionedFullAudit(t *testing.T) {
 	f := verifyFlow(t)
 	d := verifySmallDesign(t)
 	opts := CompileOptions{
-		Stitch:    StitchOptions{Seed: 1, Iterations: 5000, Check: CheckFull},
+		Stitch:    StitchOptions{Seed: 1, Anneal: AnnealOptions{Iterations: 5000}, Check: CheckFull},
 		Partition: PartitionOptions{Shards: 2},
 	}
 	res, err := f.Compile(d, MinSweepCF(), opts)
@@ -83,7 +83,7 @@ func TestCompilePartitionedFullAudit(t *testing.T) {
 func TestCompileUnpartitionedUnchanged(t *testing.T) {
 	f := verifyFlow(t)
 	d := verifySmallDesign(t)
-	base := CompileOptions{Stitch: StitchOptions{Seed: 4, Iterations: 4000}}
+	base := CompileOptions{Stitch: StitchOptions{Seed: 4, Anneal: AnnealOptions{Iterations: 4000}}}
 	r1, err := f.Compile(d, MinSweepCF(), base)
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func TestPersistentBlockCacheCrossProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := flow.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Cache: cold, SkipStitch: true})
+	first, err := flow.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: cold}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestPersistentBlockCacheCrossProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := flow2.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Cache: warm, SkipStitch: true})
+	second, err := flow2.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: warm}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestPersistentBlockCacheCrossProcess(t *testing.T) {
 	}
 
 	// Third compile in the same "process": the in-memory layer serves it.
-	third, err := flow2.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Cache: warm, SkipStitch: true})
+	third, err := flow2.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: warm}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPersistentCacheServesBisectFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := lin.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Cache: c1, SkipStitch: true})
+	first, err := lin.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: c1}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestPersistentCacheServesBisectFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := bis.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Cache: c2, SkipStitch: true})
+	second, err := bis.Compile(smallDesign(120), MinSweepCF(), CompileOptions{Implement: ImplementOptions{Cache: c2}, SkipStitch: true})
 	if err != nil {
 		t.Fatal(err)
 	}

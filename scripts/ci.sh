@@ -81,6 +81,20 @@ go test -race -count=1 -run 'TestMetricsEndpoint|TestFlightRecorder' ./cmd/macro
 echo "==> macroflowd daemon smoke (-race, SIGTERM drain)" >&2
 MACROFLOWD_SMOKE=1 go test -race -count=1 -run '^TestDaemonBinarySmoke$' ./cmd/macroflowd/
 
+# Golden output: the full experiment run must reproduce the committed
+# experiments_output.txt byte for byte, log lines included (recorded
+# with 2>&1). TestGoldenSubset checks four sections under go test; this
+# is the whole run (several minutes).
+echo "==> experiments -exp all vs experiments_output.txt" >&2
+exp_out="$(mktemp)"
+go run ./cmd/experiments -exp all >"${exp_out}" 2>&1
+if ! diff experiments_output.txt "${exp_out}" >&2; then
+	rm -f "${exp_out}"
+	echo "golden: experiments -exp all differs from experiments_output.txt" >&2
+	exit 1
+fi
+rm -f "${exp_out}"
+
 echo "==> go test -bench . -benchtime 1x (smoke)" >&2
 go test -run '^$' -bench . -benchtime 1x .
 

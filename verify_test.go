@@ -47,7 +47,7 @@ func TestCompileCheckFullClean(t *testing.T) {
 	f := verifyFlow(t)
 	d := verifySmallDesign(t)
 	opts := CompileOptions{
-		Stitch:    StitchOptions{Seed: 1, Iterations: 5000, Check: CheckFull},
+		Stitch:    StitchOptions{Seed: 1, Anneal: AnnealOptions{Iterations: 5000}, Check: CheckFull},
 		Implement: ImplementOptions{Check: CheckFull},
 	}
 	res, err := f.Compile(d, MinSweepCF(), opts)
@@ -65,7 +65,7 @@ func TestCompileCheckFullClean(t *testing.T) {
 	}
 
 	off, err := f.Compile(d, MinSweepCF(), CompileOptions{
-		Stitch: StitchOptions{Seed: 1, Iterations: 5000},
+		Stitch: StitchOptions{Seed: 1, Anneal: AnnealOptions{Iterations: 5000}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestRunCNVCheckFullClean(t *testing.T) {
 	f := verifyFlow(t)
 	f.SetSearch(0.5, 0.02, 3.0)
 	res, err := f.RunCNV(MinSweepCF(), CNVOptions{
-		Stitch:    StitchOptions{Seed: 1, Iterations: 20000, Check: CheckFull},
+		Stitch:    StitchOptions{Seed: 1, Anneal: AnnealOptions{Iterations: 20000}, Check: CheckFull},
 		Implement: ImplementOptions{Check: CheckFull},
 	})
 	if err != nil {
